@@ -132,13 +132,38 @@ func measureBest(f func(b *testing.B)) result {
 	return best
 }
 
+// startCPUProfile starts a CPU profile written to path and returns the
+// function that stops it and closes the file; an empty path profiles
+// nothing. Errors are fatal.
+func startCPUProfile(path string) (stop func()) {
+	if path == "" {
+		return func() {}
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}
+}
+
 func main() {
 	out := flag.String("o", "BENCH_results.json", "output file")
 	parallel := flag.Int("parallel", 0, "figure simulation workers (0 = GOMAXPROCS)")
 	skipFigures := flag.Bool("skip-figures", false, "skip the per-figure wall-time runs")
 	warm := flag.Uint64("warmup", experiments.Quick.WarmupInsts, "figure warm-up instructions")
 	meas := flag.Uint64("measure", experiments.Quick.MeasureInsts, "figure measured instructions")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the throughput run to this file")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the throughput run alone (no other microbenchmark or figure) to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the microbenchmarks) to this file")
 	compare := flag.String("compare", "", "old BENCH_results.json to diff against; exit 1 on microbenchmark regressions beyond -threshold")
 	threshold := flag.Float64("threshold", 0.25, "relative ns/op regression tolerated by -compare (0.25 = 25%)")
@@ -164,20 +189,7 @@ func main() {
 	}
 	prog := gzip.Program()
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-
+	stopProfile := startCPUProfile(*cpuProfile)
 	rep.Throughput = measureBest(func(b *testing.B) {
 		sim := cpu.MustNew(prog, cpu.Options{Predictor: bpred.Hybrid1})
 		sim.Run(20000) // warm
@@ -185,6 +197,7 @@ func main() {
 		b.ResetTimer()
 		sim.Run(uint64(b.N))
 	})
+	stopProfile()
 	fmt.Printf("throughput        %8.1f ns/inst  %d allocs/op\n",
 		rep.Throughput.NsPerOp, rep.Throughput.AllocsPerOp)
 

@@ -34,6 +34,27 @@ import (
 	"bpredpower/internal/service"
 )
 
+// Connection timeouts. A client gets readHeaderTimeout to send its request
+// headers, and an idle keep-alive connection is closed after idleTimeout, so
+// slow or silent clients cannot hold connections open. Bodies and responses
+// are not time-limited here: a sweep streams for as long as it runs, and
+// each /v1 request already carries the -timeout deadline.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the listening server for h with the connection
+// timeouts set.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8149", "listen address")
 	parallel := flag.Int("parallel", 0, "per-request simulation workers (0 = GOMAXPROCS); responses are identical at any value")
@@ -65,7 +86,7 @@ func main() {
 		Store:          store,
 		Logger:         logger,
 	})
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := newHTTPServer(*addr, srv.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -338,7 +338,17 @@ type TLB struct {
 	// single compare instead of a full associative scan; statistics and LRU
 	// state are updated identically on either path.
 	mru int
+	// hint is a direct-mapped vpn → entry-index table consulted after the
+	// MRU check and before the associative scan. A hint is only a guess: it
+	// is used only when the entry it names is valid and holds the vpn, so a
+	// stale or colliding hint (after an eviction, Reset or SetState) costs the
+	// scan it would have skipped and nothing else. It is therefore not part
+	// of TLBState.
+	hint [tlbHintSlots]uint16
 }
+
+// tlbHintSlots sizes TLB.hint (a power of two; slots are vpn mod size).
+const tlbHintSlots = 256
 
 // NewTLB builds a TLB with the given entry count, page size, and miss
 // penalty (Table 1: 128 entries, 30-cycle penalty; we use 8KB pages, the
@@ -349,6 +359,9 @@ func NewTLB(entries int, pageBytes uint64, missPenalty int) *TLB {
 	}
 	if pageBytes == 0 || pageBytes&(pageBytes-1) != 0 {
 		panic("cache: TLB page size must be a power of two")
+	}
+	if entries > 1<<16 {
+		panic("cache: TLB entry indexes must fit the 16-bit hint table")
 	}
 	bits := uint(0)
 	for p := pageBytes; p > 1; p >>= 1 {
@@ -377,6 +390,15 @@ func (t *TLB) Access(addr uint64) int {
 		t.stats.Hits++
 		return 0
 	}
+	// Valid tags are unique, so a verified hint names the very entry the
+	// scan below would find first.
+	h := &t.hint[vpn&(tlbHintSlots-1)]
+	if i := int(*h); t.entries[i].valid && t.entries[i].tag == vpn {
+		t.entries[i].lru = t.clock
+		t.stats.Hits++
+		t.mru = i
+		return 0
+	}
 	victim := 0
 	for i := range t.entries {
 		e := &t.entries[i]
@@ -384,6 +406,7 @@ func (t *TLB) Access(addr uint64) int {
 			e.lru = t.clock
 			t.stats.Hits++
 			t.mru = i
+			*h = uint16(i)
 			return 0
 		}
 		if !e.valid {
@@ -395,6 +418,7 @@ func (t *TLB) Access(addr uint64) int {
 	t.stats.Misses++
 	t.entries[victim] = line{valid: true, tag: vpn, lru: t.clock}
 	t.mru = victim
+	*h = uint16(victim)
 	return t.missPen
 }
 

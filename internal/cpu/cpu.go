@@ -418,17 +418,27 @@ func (s *Sim) Run(n uint64) {
 
 // runBlock steps up to block cycles, stopping early once target instructions
 // have committed. The cycle bound is a local countdown so the hot loop
-// re-reads only the commit counter.
+// re-reads only the commit counter. After a cycle that did no work it jumps
+// over the provably idle cycles that follow (idle.go), charging them to the
+// same countdown, so the block ends on exactly the cycle stepping would.
 //
 //bp:hotpath
 func (s *Sim) runBlock(block, target uint64) {
-	for ; block > 0 && s.stats.Committed < target; block-- {
-		s.step()
+	for block > 0 && s.stats.Committed < target {
+		block--
+		if s.step() {
+			continue
+		}
+		if k := s.idleCycles(block); k > 0 {
+			s.skipIdle(k)
+			block -= k
+		}
 	}
 }
 
-// StepCycle advances the machine exactly one cycle. It exists for
-// micro-benchmarks and tests that need cycle-granular control; bulk
+// StepCycle advances the machine exactly one cycle, never skipping. It
+// exists for micro-benchmarks and tests that need cycle-granular control
+// (and is the reference Run's idle skipping is tested against); bulk
 // simulation should use Run, which batches cycles into blocks.
 func (s *Sim) StepCycle() { s.step() }
 
@@ -441,16 +451,19 @@ func (s *Sim) ResetMeasurement() {
 
 // step advances one cycle: commit and writeback/resolve see the machine
 // state produced by earlier cycles, then issue, dispatch, and fetch refill
-// it. Power activity is folded at the end of the cycle.
+// it. Power activity is folded at the end of the cycle. It reports whether
+// any stage did work; a false return is Run's cue to test for an idle
+// stretch.
 //
 //bp:hotpath
-func (s *Sim) step() {
-	s.writebackAndResolve()
-	s.commit()
-	s.issue()
-	s.dispatch()
-	s.fetch()
+func (s *Sim) step() (worked bool) {
+	wb := s.writebackAndResolve()
+	cm := s.commit()
+	is := s.issue()
+	dp := s.dispatch()
+	fe := s.fetch()
 	s.meter.EndCycle()
 	s.stats.Cycles++
 	s.cycle++
+	return wb || cm || is || dp || fe
 }

@@ -17,19 +17,22 @@ import (
 // parallel with the I-cache), unless the PPD's pre-decode bits prove the
 // line needs neither.
 //
+// It reports whether the cycle changed any state: an active fetch cycle or
+// one the gate stalled (which counts GatedCycles).
+//
 //bp:hotpath
-func (s *Sim) fetch() {
+func (s *Sim) fetch() bool {
 	if s.cycle < s.fetchStallUntil || s.fetchHalted {
-		return
+		return false
 	}
 	if s.gate.ShouldStallFetch() {
 		s.gate.NoteGatedCycle()
 		s.stats.GatedCycles++
-		return
+		return true
 	}
 	// The fetch-queue ring is sized to the front-end capacity (see New).
 	if s.fqLen >= s.fqCap {
-		return
+		return false
 	}
 
 	// Active fetch cycle: access I-cache (and ITLB) for the current line.
@@ -42,7 +45,7 @@ func (s *Sim) fetch() {
 		// Miss: the line arrives later; fetch resumes then.
 		s.fetchStallUntil = s.cycle + uint64(lat)
 		s.stats.ICacheMissCycles += uint64(lat)
-		return
+		return true
 	}
 
 	lineBytes := uint64(s.cfg.IL1.BlockBytes)
@@ -56,6 +59,7 @@ func (s *Sim) fetch() {
 			break
 		}
 	}
+	return true
 }
 
 // fetchOne fetches the instruction at fetchPC, predicts it if it is a

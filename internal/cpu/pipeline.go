@@ -35,10 +35,11 @@ func latency(c isa.Class) uint64 {
 // elapsed from the fetch queue into the RUU (and LSQ for memory ops),
 // renaming their register operands. Dependences are registered once here —
 // a consumer leaves its slot bit in each live producer's waker bitmap and
-// counts them in depCount — so issue never re-walks producers.
+// counts them in depCount — so issue never re-walks producers. It reports
+// whether anything was dispatched.
 //
 //bp:hotpath
-func (s *Sim) dispatch() {
+func (s *Sim) dispatch() bool {
 	n, nMem := 0, 0
 	mask := int(s.robMask)
 	width := s.cfg.DecodeWidth
@@ -115,6 +116,7 @@ func (s *Sim) dispatch() {
 		s.lsqUsed += nMem
 		s.pw.lsqUnit.Write(nMem)
 	}
+	return n > 0
 }
 
 // producerOf returns the rob ID of the in-flight producer of reg, or -1.
@@ -135,10 +137,11 @@ func (s *Sim) producerOf(reg uint8) int64 {
 // by memory ports and divider occupancy), oldest first, and starts their
 // execution. Candidates come straight off the ready bitmap, scanned in
 // ring-age order from the head slot with TrailingZeros64; entries blocked
-// only by structural hazards keep their bit for next cycle.
+// only by structural hazards keep their bit for next cycle. It reports
+// whether anything issued.
 //
 //bp:hotpath
-func (s *Sim) issue() {
+func (s *Sim) issue() bool {
 	intLeft := s.cfg.IntIssue
 	fpLeft := s.cfg.FPIssue
 	memLeft := s.cfg.MemPorts
@@ -266,6 +269,7 @@ func (s *Sim) issue() {
 	if nFmult > 0 {
 		s.pw.fmultUnit.Read(nFmult)
 	}
+	return nIssued > 0
 }
 
 // writebackAndResolve completes the instructions whose results arrive this
@@ -273,10 +277,11 @@ func (s *Sim) issue() {
 // broadcasts their results by draining each completer's waker bitmap, and
 // resolves control transfers, squashing and redirecting on mispredictions.
 // A resolve may squash younger entries out of the same row; re-reading the
-// row word after each entry keeps the iteration exact.
+// row word after each entry keeps the iteration exact. It reports whether
+// anything completed.
 //
 //bp:hotpath
-func (s *Sim) writebackAndResolve() {
+func (s *Sim) writebackAndResolve() bool {
 	nw := s.nw
 	base := int(s.cycle&s.wheelMask) * nw
 	mask := int(s.robMask)
@@ -319,6 +324,7 @@ func (s *Sim) writebackAndResolve() {
 		s.pw.regfileUnit.Write(nDone)
 		s.pw.windowUnit.Read(nDone) // wakeup broadcast
 	}
+	return nDone > 0
 }
 
 // wake drains the completing slot's waker bitmap: each waiting consumer
@@ -502,10 +508,11 @@ func (s *Sim) commitRun() int {
 func (s *Sim) CommitScanLen() int { return s.commitRun() }
 
 // commit retires the completed run at the head of the RUU in program order,
-// training the predictor and BTB and performing store writes.
+// training the predictor and BTB and performing store writes. It reports
+// whether anything committed or the L2 was charged.
 //
 //bp:hotpath
-func (s *Sim) commit() {
+func (s *Sim) commit() bool {
 	run := s.commitRun()
 	mask := int(s.robMask)
 	nStore, nCond, nJRS, nTgt := 0, 0, 0, 0
@@ -567,9 +574,11 @@ func (s *Sim) commit() {
 	}
 	// Charge the L2 for the accesses the L1s pushed down this cycle.
 	l2acc := s.l2.Stats().Accesses
-	if d := l2acc - s.lastL2Accesses; d > 0 {
+	d := l2acc - s.lastL2Accesses
+	if d > 0 {
 		s.pw.l2Data.Read(int(d))
 		s.pw.l2Tag.Read(int(d))
 	}
 	s.lastL2Accesses = l2acc
+	return run > 0 || d > 0
 }

@@ -2,6 +2,7 @@ package power
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -113,6 +114,44 @@ func TestAccountingReset(t *testing.T) {
 		}
 		if c := m.Cycles(); c != 0 {
 			t.Errorf("mode %s: Cycles %d after Reset, want 0", mode, c)
+		}
+	}
+}
+
+// EndIdleCycles(k) must leave the meter exactly as k EndCycle calls with no
+// accesses would — state, activity and every energy reading — in every
+// accounting mode and gating style, including a unit touched in the cycle
+// just before the stretch and again right after it.
+func TestEndIdleCyclesMatchesEndCycle(t *testing.T) {
+	for _, style := range []GatingStyle{CC0, CC1, CC2, CC3} {
+		for _, mode := range []AccountingMode{AccountDeferred, AccountPerCycle, AccountCrossCheck} {
+			stepped := driveMeter(style, mode)
+			jumped := driveMeter(style, mode)
+			for _, k := range []uint64{0, 1, 2, 97} {
+				stepped.Units()[0].Read(1)
+				jumped.Units()[0].Read(1)
+				stepped.EndCycle()
+				jumped.EndCycle()
+				for i := uint64(0); i < k; i++ {
+					stepped.EndCycle()
+				}
+				jumped.EndIdleCycles(k)
+				stepped.Units()[1].Write(1)
+				jumped.Units()[1].Write(1)
+				stepped.EndCycle()
+				jumped.EndCycle()
+
+				label := fmt.Sprintf("%s/%s/k=%d", style, mode, k)
+				if !reflect.DeepEqual(stepped.State(), jumped.State()) {
+					t.Fatalf("%s: meter state diverged", label)
+				}
+				if a, b := stepped.TotalEnergy(), jumped.TotalEnergy(); a != b {
+					t.Fatalf("%s: TotalEnergy %v != %v", label, a, b)
+				}
+				if a, b := stepped.ClockEnergy(), jumped.ClockEnergy(); a != b {
+					t.Fatalf("%s: ClockEnergy %v != %v", label, a, b)
+				}
+			}
 		}
 	}
 }

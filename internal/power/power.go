@@ -456,6 +456,21 @@ func (m *Meter) EndCycle() {
 	}
 }
 
+// EndIdleCycles closes k cycles in which no unit was accessed, leaving the
+// meter exactly as k EndCycle calls would. Idle cycles change no unit
+// counter, so only the clock moves; the eager modes refresh their folds once
+// at the end, which is what the last of k EndCycle calls would have stored.
+//
+//bp:hotpath
+//bp:unit k cycle
+func (m *Meter) EndIdleCycles(k uint64) {
+	if k == 0 {
+		return
+	}
+	m.cycles += k - 1
+	m.EndCycle()
+}
+
 // clockClosedForm folds the lifetime counters into clock-tree energy:
 // a base term proportional to registered capacity and elapsed cycles, plus
 // an activity term proportional to total switched energy. The switched total

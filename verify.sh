@@ -40,6 +40,9 @@ done
 go test -run '^$' -fuzz '^FuzzTraceDecode$' -fuzztime 5s -fuzzminimizetime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzProgramDecode$' -fuzztime 5s -fuzzminimizetime 5s ./internal/program
 (cd internal/service && go test -run '^$' -fuzz '^FuzzSweepRequestDecode$' -fuzztime 5s -fuzzminimizetime 5s .)
+# Idle-skip equivalence: Run's idle-cycle skipping must match cycle-by-cycle
+# stepping bit for bit at arbitrary option-grid points and window lengths.
+go test -run '^$' -fuzz '^FuzzIdleSkip$' -fuzztime 5s -fuzzminimizetime 5s ./internal/cpu
 
 # Coverage floor for the lint suite itself: the fixtures and mutation
 # tests must keep exercising the analyzers they pin.
