@@ -11,20 +11,25 @@ import (
 	"bpredpower/internal/workload"
 )
 
-// RunCache is a concurrency-safe, bounded memo of simulation results shared
+// RunCache is a concurrency-safe, bounded memo of activity records shared
 // across harnesses. It is the serving layer's answer to the Harness memo
 // maps, which are deliberately single-goroutine: a server builds one
 // RunCache at startup, hands it to a fresh Harness per request, and gets
 //
-//   - singleflight: concurrent demand for the same (benchmark, options,
-//     run-config) key runs exactly one simulation — later arrivals block on
-//     the leader's completion (or their own context) and share its result;
+//   - singleflight: concurrent demand for the same (benchmark, execution
+//     options, run-config) key runs exactly one simulation — later arrivals
+//     block on the leader's completion (or their own context) and share its
+//     record;
 //   - a bounded LRU: completed entries beyond MaxEntries are evicted least
 //     recently used first, with approximate byte accounting exposed through
 //     Stats for the /metrics endpoint;
 //   - cancellation hygiene: a compute that returns an error (in practice
 //     ctx.Err()) is removed rather than cached, so the cache never holds a
 //     half-written or canceled entry and the next request simply retries.
+//
+// The activity record is the only cached artifact: every Run is its rec.Run
+// (base pricing key) or a closed-form fold of it (see reprice.go), so one
+// entry serves every pricing variant of its execution key.
 //
 // Program images are memoized separately (Program) because they are shared
 // across every options variant of a benchmark and are never evicted — there
@@ -37,12 +42,12 @@ type RunCache struct {
 	Gate chan struct{}
 	// Hooks observe compute lifecycle; see RunCacheHooks.
 	Hooks RunCacheHooks
-	// Store, when non-nil, is a second, persistent result layer under the
-	// in-memory LRU (see RunStore). A memory miss consults it before
+	// Store, when non-nil, is a second, persistent layer under the
+	// in-memory LRU (see ActivityStore). A memory miss consults it before
 	// simulating, and every successful compute is written through, so
 	// restarts and replicas sharing one store start warm. Store loads do
 	// not fire Hooks (no simulation ran) and do not consume a Gate slot.
-	Store RunStore
+	Store ActivityStore
 
 	mu         sync.Mutex
 	maxEntries int
@@ -53,38 +58,32 @@ type RunCache struct {
 	evictions  uint64
 	storeHits  uint64
 	storeMiss  uint64
+	folds      uint64
 	bytes      int64
-
-	// Activity-record plane (see activitycache.go): the same singleflight +
-	// LRU + store machinery keyed by execution key, holding the per-unit
-	// counter vectors pricing variants are folded from.
-	actEntries  map[cacheKey]*actEntry
-	actLru      *list.List // of *actEntry; front = most recently used
-	repriceHits uint64
-	repriceMiss uint64
-	folds       uint64
 
 	progMu sync.Mutex
 	progs  map[string]*progEntry
 }
 
-// RunStore is a persistent second cache layer keyed exactly like the
-// in-memory entries: benchmark name, the full comparable cpu.Options, and
-// the RunConfig. Implementations must be safe for concurrent use and must
-// only ever return runs previously Saved for the identical key — results
-// are deterministic, so a load is bit-identical to recomputing.
-// internal/resultstore provides the on-disk implementation.
-type RunStore interface {
-	Load(bench string, opt cpu.Options, rc RunConfig) (Run, bool)
-	Save(bench string, opt cpu.Options, rc RunConfig, r Run)
+// ActivityStore is a persistent second cache layer keyed exactly like the
+// in-memory entries: benchmark name, the full comparable execution
+// cpu.Options, and the RunConfig. Implementations must be safe for
+// concurrent use and must only ever return records previously saved for
+// the identical key — simulations are deterministic, so a load is
+// bit-identical to recomputing. internal/resultstore provides the on-disk
+// implementation; replicas sharing one store reprice each other's
+// simulations instead of re-running them.
+type ActivityStore interface {
+	LoadActivity(bench string, opt cpu.Options, rc RunConfig) (ActivityRecord, bool)
+	SaveActivity(bench string, opt cpu.Options, rc RunConfig, rec ActivityRecord)
 }
 
 // RunCacheHooks are optional instrumentation points. BeforeRun runs on the
 // computing goroutine immediately before a cache-miss simulation starts
 // (after the Gate slot is held) with that simulation's context; AfterRun
-// runs when it finishes, successfully or not. The service layer uses them
-// for worker-occupancy and throughput metrics; tests use them to observe
-// cancellation and count singleflight computes.
+// runs when it finishes, successfully or not, with the record's base Run.
+// The service layer uses them for worker-occupancy and throughput metrics;
+// tests use them to observe cancellation and count singleflight computes.
 type RunCacheHooks struct {
 	BeforeRun func(ctx context.Context)
 	AfterRun  func(r Run, err error)
@@ -101,8 +100,8 @@ type cacheKey struct {
 
 type cacheEntry struct {
 	key  cacheKey
-	done chan struct{} // closed when run/err are final
-	run  Run
+	done chan struct{} // closed when rec/err are final
+	rec  ActivityRecord
 	err  error
 	size int64
 	elem *list.Element // nil while inflight or after eviction
@@ -119,40 +118,35 @@ type CacheStats struct {
 	// StoreHits/StoreMisses count memory misses answered by (or falling
 	// through) the persistent Store layer; both stay zero without one.
 	StoreHits, StoreMisses uint64
-	// RepriceHits/RepriceMisses count activity-record lookups (one per
-	// execution key a repricing harness needs): hits were answered from
-	// memory or the store, misses ran the one base simulation. Both also
-	// count into Hits/Misses — the activity plane is part of the cache.
 	// RepriceFolds counts pricing variants produced by closed-form folding
 	// instead of simulation.
-	RepriceHits, RepriceMisses, RepriceFolds uint64
-	Entries                                  int   // completed, resident entries (both planes)
-	Inflight                                 int   // computes in progress (both planes)
-	ActivityEntries                          int   // resident activity records
-	Bytes                                    int64 // approximate resident result bytes
-	Programs                                 int   // memoized program images
+	RepriceFolds uint64
+	Entries      int   // completed, resident entries
+	Inflight     int   // computes in progress
+	Bytes        int64 // approximate resident record bytes
+	Programs     int   // memoized program images
 }
 
-// NewRunCache builds a cache bounded to maxEntries completed results
+// NewRunCache builds a cache bounded to maxEntries completed records
 // (maxEntries <= 0 means unbounded).
 func NewRunCache(maxEntries int) *RunCache {
 	return &RunCache{
 		maxEntries: maxEntries,
 		entries:    map[cacheKey]*cacheEntry{},
 		lru:        list.New(),
-		actEntries: map[cacheKey]*actEntry{},
-		actLru:     list.New(),
 		progs:      map[string]*progEntry{},
 	}
 }
 
-// Do returns the memoized Run for (bench, opt, rc), computing it via compute
-// on a miss. Concurrent calls for the same key share one compute; callers
-// whose ctx ends while waiting get ctx.Err(). A compute error is returned to
-// the leader and every waiter, and the entry is dropped so a later call
-// retries.
-func (c *RunCache) Do(ctx context.Context, bench string, opt cpu.Options, rc RunConfig, compute func(context.Context) (Run, error)) (Run, error) {
-	key := cacheKey{bench, opt, rc}
+// Do returns the memoized ActivityRecord of an execution key (bench,
+// execOpt, rc), computing it via compute — one full base simulation — on a
+// miss. Concurrent calls for the same key share one compute; callers whose
+// ctx ends while waiting get ctx.Err(). A compute error is returned to the
+// leader and every waiter, and the entry is dropped so a later call
+// retries. The callers' pricing-variant folds never pass through here —
+// only the one simulation per execution key does.
+func (c *RunCache) Do(ctx context.Context, bench string, execOpt cpu.Options, rc RunConfig, compute func(context.Context) (ActivityRecord, error)) (ActivityRecord, error) {
+	key := cacheKey{bench, execOpt, rc}
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		select {
@@ -161,16 +155,16 @@ func (c *RunCache) Do(ctx context.Context, bench string, opt cpu.Options, rc Run
 			// are deleted before done closes), so this is a hit.
 			c.hits++
 			c.lru.MoveToFront(e.elem)
-			r := e.run
+			rec := e.rec
 			c.mu.Unlock()
-			return r, nil
+			return rec, nil
 		default:
 		}
 		c.mu.Unlock()
 		select {
 		case <-e.done:
 			if e.err != nil {
-				return Run{}, e.err
+				return ActivityRecord{}, e.err
 			}
 			c.mu.Lock()
 			c.hits++
@@ -178,9 +172,9 @@ func (c *RunCache) Do(ctx context.Context, bench string, opt cpu.Options, rc Run
 				c.lru.MoveToFront(e.elem)
 			}
 			c.mu.Unlock()
-			return e.run, nil
+			return e.rec, nil
 		case <-ctx.Done():
-			return Run{}, ctx.Err()
+			return ActivityRecord{}, ctx.Err()
 		}
 	}
 	e := &cacheEntry{key: key, done: make(chan struct{})}
@@ -193,26 +187,26 @@ func (c *RunCache) Do(ctx context.Context, bench string, opt cpu.Options, rc Run
 	// waiters blocked on e.done share it; no hooks fire and no Gate slot is
 	// taken, because no simulation runs.
 	fromStore := false
-	var run Run
+	var rec ActivityRecord
 	var err error
 	if c.Store != nil {
-		if r, ok := c.Store.Load(bench, opt, rc); ok {
+		if r, ok := c.Store.LoadActivity(bench, execOpt, rc); ok {
 			c.count(func() { c.storeHits++ })
-			run, fromStore = r, true
+			rec, fromStore = r, true
 		} else {
 			c.count(func() { c.storeMiss++ })
 		}
 	}
 	if !fromStore {
-		run, err = c.compute(ctx, compute)
+		rec, err = c.compute(ctx, compute)
 	}
 
 	c.mu.Lock()
-	e.run, e.err = run, err
+	e.rec, e.err = rec, err
 	if err != nil {
 		delete(c.entries, key)
 	} else {
-		e.size = runBytes(run)
+		e.size = activityBytes(rec)
 		c.bytes += e.size
 		e.elem = c.lru.PushFront(e)
 		c.evictLocked()
@@ -222,9 +216,9 @@ func (c *RunCache) Do(ctx context.Context, bench string, opt cpu.Options, rc Run
 	if err == nil && !fromStore && c.Store != nil {
 		// Write-through after waking waiters: persistence is off the
 		// response path, and an interrupted write just means a recompute.
-		c.Store.Save(bench, opt, rc, run)
+		c.Store.SaveActivity(bench, execOpt, rc, rec)
 	}
-	return run, err
+	return rec, err
 }
 
 // count runs a counter mutation under the lock.
@@ -236,23 +230,23 @@ func (c *RunCache) count(fn func()) {
 
 // compute runs one cache-miss simulation: acquire a Gate slot (bounded
 // concurrency), fire the hooks, call through.
-func (c *RunCache) compute(ctx context.Context, fn func(context.Context) (Run, error)) (Run, error) {
+func (c *RunCache) compute(ctx context.Context, fn func(context.Context) (ActivityRecord, error)) (ActivityRecord, error) {
 	if c.Gate != nil {
 		select {
 		case c.Gate <- struct{}{}:
 			defer func() { <-c.Gate }()
 		case <-ctx.Done():
-			return Run{}, ctx.Err()
+			return ActivityRecord{}, ctx.Err()
 		}
 	}
 	if h := c.Hooks.BeforeRun; h != nil {
 		h(ctx)
 	}
-	r, err := fn(ctx)
+	rec, err := fn(ctx)
 	if h := c.Hooks.AfterRun; h != nil {
-		h(r, err)
+		h(rec.Run, err)
 	}
-	return r, err
+	return rec, err
 }
 
 // evictLocked drops least-recently-used completed entries until the bound
@@ -270,6 +264,12 @@ func (c *RunCache) evictLocked() {
 		c.bytes -= e.size
 		c.evictions++
 	}
+}
+
+// noteFolds records folds performed by a harness against this cache, so
+// /metrics sees fold traffic wherever the cache is shared.
+func (c *RunCache) noteFolds(n uint64) {
+	c.count(func() { c.folds += n })
 }
 
 // Program returns the (memoized, singleflighted) program image of a
@@ -294,18 +294,15 @@ func (c *RunCache) Program(b workload.Benchmark) *program.Program {
 func (c *RunCache) Stats() CacheStats {
 	c.mu.Lock()
 	s := CacheStats{
-		Hits:            c.hits,
-		Misses:          c.misses,
-		Evictions:       c.evictions,
-		StoreHits:       c.storeHits,
-		StoreMisses:     c.storeMiss,
-		RepriceHits:     c.repriceHits,
-		RepriceMisses:   c.repriceMiss,
-		RepriceFolds:    c.folds,
-		Entries:         c.lru.Len() + c.actLru.Len(),
-		Inflight:        (len(c.entries) - c.lru.Len()) + (len(c.actEntries) - c.actLru.Len()),
-		ActivityEntries: c.actLru.Len(),
-		Bytes:           c.bytes,
+		Hits:         c.hits,
+		Misses:       c.misses,
+		Evictions:    c.evictions,
+		StoreHits:    c.storeHits,
+		StoreMisses:  c.storeMiss,
+		RepriceFolds: c.folds,
+		Entries:      c.lru.Len(),
+		Inflight:     len(c.entries) - c.lru.Len(),
+		Bytes:        c.bytes,
 	}
 	c.mu.Unlock()
 	c.progMu.Lock()
@@ -314,9 +311,14 @@ func (c *RunCache) Stats() CacheStats {
 	return s
 }
 
-// runBytes approximates the resident size of one cached result: the struct
-// itself plus its two string payloads and the key's benchmark name.
-func runBytes(r Run) int64 {
-	return int64(unsafe.Sizeof(r)) + int64(unsafe.Sizeof(cacheKey{})) +
-		int64(2*len(r.Benchmark)+len(r.Machine))
+// activityBytes approximates the resident size of one cached record: the
+// record and key structs, the Run's string payloads and the key's benchmark
+// name, and the per-unit counter slice with its unit-name strings.
+func activityBytes(rec ActivityRecord) int64 {
+	n := int64(unsafe.Sizeof(rec)) + int64(unsafe.Sizeof(cacheKey{})) +
+		int64(2*len(rec.Run.Benchmark)+len(rec.Run.Machine))
+	for _, u := range rec.Activity.Units {
+		n += int64(unsafe.Sizeof(u)) + int64(len(u.Name))
+	}
+	return n
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"bpredpower/internal/bpred"
 	"bpredpower/internal/cpu"
+	"bpredpower/internal/power"
 	"bpredpower/internal/workload"
 )
 
@@ -181,7 +183,7 @@ func TestSimulateCanceledNotMemoized(t *testing.T) {
 }
 
 // TestRunCacheSingleflight checks concurrent demand for one key runs the
-// compute exactly once and every caller sees the same result.
+// compute exactly once and every caller sees the same record.
 func TestRunCacheSingleflight(t *testing.T) {
 	const callers = 8
 	cache := NewRunCache(0)
@@ -189,7 +191,7 @@ func TestRunCacheSingleflight(t *testing.T) {
 	var start, done sync.WaitGroup
 	start.Add(callers)
 	done.Add(callers)
-	results := make([]Run, callers)
+	results := make([]ActivityRecord, callers)
 	errs := make([]error, callers)
 	for i := 0; i < callers; i++ {
 		go func(i int) {
@@ -197,10 +199,10 @@ func TestRunCacheSingleflight(t *testing.T) {
 			start.Done()
 			start.Wait() // maximize overlap
 			results[i], errs[i] = cache.Do(context.Background(), "bench", cpu.Options{}, Quick,
-				func(context.Context) (Run, error) {
+				func(context.Context) (ActivityRecord, error) {
 					computes.Add(1)
 					time.Sleep(10 * time.Millisecond) // hold the entry inflight
-					return Run{Benchmark: "bench", IPC: 1.5}, nil
+					return fakeRecord("bench", 1.5), nil
 				})
 		}(i)
 	}
@@ -212,7 +214,7 @@ func TestRunCacheSingleflight(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("caller %d: %v", i, errs[i])
 		}
-		if results[i] != results[0] {
+		if !reflect.DeepEqual(results[i], results[0]) {
 			t.Errorf("caller %d got %+v, caller 0 got %+v", i, results[i], results[0])
 		}
 	}
@@ -229,22 +231,22 @@ func TestRunCacheErrorNotCached(t *testing.T) {
 	sentinel := errors.New("compute failed")
 	var computes atomic.Int64
 	if _, err := cache.Do(context.Background(), "bench", cpu.Options{}, Quick,
-		func(context.Context) (Run, error) {
+		func(context.Context) (ActivityRecord, error) {
 			computes.Add(1)
-			return Run{}, sentinel
+			return ActivityRecord{}, sentinel
 		}); !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want the sentinel", err)
 	}
-	r, err := cache.Do(context.Background(), "bench", cpu.Options{}, Quick,
-		func(context.Context) (Run, error) {
+	rec, err := cache.Do(context.Background(), "bench", cpu.Options{}, Quick,
+		func(context.Context) (ActivityRecord, error) {
 			computes.Add(1)
-			return Run{Benchmark: "bench"}, nil
+			return fakeRecord("bench", 1), nil
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Benchmark != "bench" {
-		t.Errorf("retry returned %+v", r)
+	if rec.Run.Benchmark != "bench" {
+		t.Errorf("retry returned %+v", rec)
 	}
 	if n := computes.Load(); n != 2 {
 		t.Errorf("computes = %d, want 2 (error must not be cached)", n)
@@ -256,21 +258,23 @@ func TestRunCacheErrorNotCached(t *testing.T) {
 
 // TestRunCacheLRUEviction checks the entry bound: with MaxEntries=2, a third
 // key evicts the least recently used one, byte accounting follows, and the
-// evicted key recomputes on its next request.
+// evicted key recomputes on its next request. The bound is the cache's
+// total: a harness driving base runs, pricing variants and an eager-
+// accounting run through NewRunCache(2) never leaves more than 2 entries.
 func TestRunCacheLRUEviction(t *testing.T) {
 	cache := NewRunCache(2)
 	var computes atomic.Int64
-	get := func(bench string) Run {
+	get := func(bench string) ActivityRecord {
 		t.Helper()
-		r, err := cache.Do(context.Background(), bench, cpu.Options{}, Quick,
-			func(context.Context) (Run, error) {
+		rec, err := cache.Do(context.Background(), bench, cpu.Options{}, Quick,
+			func(context.Context) (ActivityRecord, error) {
 				computes.Add(1)
-				return Run{Benchmark: bench}, nil
+				return fakeRecord(bench, 1), nil
 			})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r
+		return rec
 	}
 	get("a")
 	get("b")
@@ -289,6 +293,33 @@ func TestRunCacheLRUEviction(t *testing.T) {
 	if n := computes.Load() - before; n != 1 {
 		t.Errorf("%d computes after eviction round-trip, want 1 (only the evicted key)", n)
 	}
+
+	b, err := workload.ByName("164.gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := NewRunCache(2)
+	h := NewHarness(RunConfig{WarmupInsts: 2000, MeasureInsts: 4000})
+	h.Parallel = 1
+	h.Cache = shared
+	for _, opt := range []cpu.Options{
+		{Predictor: bpred.Bim4k},
+		{Predictor: bpred.Bim4k, BankedPredictor: true},
+		{Predictor: bpred.Gsh16k12},
+		{Predictor: bpred.Gsh16k12, ClockGating: power.CC1},
+		{Predictor: bpred.Bim4k, Accounting: power.AccountPerCycle},
+		{Predictor: bpred.Hybrid1},
+	} {
+		if r := h.Simulate(b, opt); r == (Run{}) {
+			t.Fatalf("%+v: zero run (err %v)", opt, h.Err())
+		}
+		if st := shared.Stats(); st.Entries > 2 {
+			t.Fatalf("after %+v: %d entries resident in NewRunCache(2)", opt, st.Entries)
+		}
+	}
+	if st := shared.Stats(); st.Misses != 4 || st.Evictions != 2 {
+		t.Errorf("harness traffic = %d misses / %d evictions, want 4 / 2 (one per execution key)", st.Misses, st.Evictions)
+	}
 }
 
 // TestRunCacheGateRespectsContext checks a caller canceled while waiting for
@@ -300,14 +331,24 @@ func TestRunCacheGateRespectsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := cache.Do(ctx, "bench", cpu.Options{}, Quick,
-		func(context.Context) (Run, error) {
+		func(context.Context) (ActivityRecord, error) {
 			t.Error("compute ran despite a full gate and canceled context")
-			return Run{}, nil
+			return ActivityRecord{}, nil
 		})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if st := cache.Stats(); st.Entries != 0 {
-		t.Errorf("canceled gate wait left %d entries", st.Entries)
+	if st := cache.Stats(); st.Entries != 0 || st.Inflight != 0 {
+		t.Errorf("canceled gate wait left %d entries, %d inflight", st.Entries, st.Inflight)
+	}
+}
+
+// fakeRecord builds a distinguishable activity record without simulating.
+func fakeRecord(bench string, ipc float64) ActivityRecord {
+	return ActivityRecord{
+		Run: Run{Benchmark: bench, Machine: "m", IPC: ipc},
+		Activity: power.Activity{Cycles: 1000, Units: []power.UnitActivity{
+			{Name: "bpred.pht", ActiveCycles: 900, Reads: 1200, Writes: 80},
+		}},
 	}
 }

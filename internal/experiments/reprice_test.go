@@ -8,6 +8,7 @@ import (
 	"bpredpower/internal/bpred"
 	"bpredpower/internal/cpu"
 	"bpredpower/internal/power"
+	"bpredpower/internal/program"
 	"bpredpower/internal/workload"
 )
 
@@ -78,20 +79,18 @@ func TestRepriceMatchesFullSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	prog := bench.Program()
 	rc := RunConfig{WarmupInsts: 2000, MeasureInsts: 4000}
 	repriced := NewHarness(rc)
 	repriced.Parallel = 1
-	full := NewHarness(rc)
-	full.Parallel = 1
-	full.Reprice = false
 	for _, pk := range pricingMatrix() {
 		opt := applyPricing(cpu.Options{Predictor: bpred.Hybrid1}, pk)
 		got := repriced.Simulate(bench, opt)
-		want := full.Simulate(bench, opt)
 		if err := repriced.Err(); err != nil {
 			t.Fatal(err)
 		}
-		if err := full.Err(); err != nil {
+		want, _, err := simulateCtx(context.Background(), prog, bench, opt, rc)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
@@ -107,6 +106,59 @@ func TestRepriceMatchesFullSimulation(t *testing.T) {
 	if want := uint64(len(pricingMatrix()) - 1); st.Folds != want {
 		t.Fatalf("folds = %d, want %d", st.Folds, want)
 	}
+}
+
+// The byte-identity guard over every figure: each unique job in planAll()
+// with a non-base pricing key, at short windows, must fold to exactly the
+// Run a full simulation of its options produces.
+func TestPlanFoldsMatchFullSimulation(t *testing.T) {
+	rc := RunConfig{WarmupInsts: 4000, MeasureInsts: 8000}
+	seen := map[runKey]bool{}
+	var jobs []Job
+	execKeys := map[runKey]bool{}
+	for _, j := range planAll() {
+		k := runKey{j.Bench.Name, j.Opt}
+		execOpt, pk := SplitOptions(j.Opt)
+		if pk.IsBase() || seen[k] {
+			continue
+		}
+		seen[k] = true
+		execKeys[runKey{j.Bench.Name, execOpt}] = true
+		jobs = append(jobs, j)
+	}
+	if len(jobs) == 0 {
+		t.Fatal("planAll has no pricing variants")
+	}
+
+	h := NewHarness(rc)
+	h.Prefetch(jobs)
+	if err := h.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if st := h.RepriceStats(); st.Simulations != uint64(len(execKeys)) || st.Folds != uint64(len(jobs)) {
+		t.Fatalf("harness ran %d simulations and %d folds, want %d and %d", st.Simulations, st.Folds, len(execKeys), len(jobs))
+	}
+
+	progs := map[string]*program.Program{}
+	for _, j := range jobs {
+		if progs[j.Bench.Name] == nil {
+			progs[j.Bench.Name] = h.programFor(j.Bench)
+		}
+	}
+	want := make([]Run, len(jobs))
+	errs := make([]error, len(jobs))
+	ForEach(h.Workers(), len(jobs), func(i int) {
+		want[i], _, errs[i] = simulateCtx(context.Background(), progs[jobs[i].Bench.Name], jobs[i].Bench, jobs[i].Opt, rc)
+	})
+	for i, j := range jobs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got := h.Simulate(j.Bench, j.Opt); got != want[i] {
+			t.Errorf("%s %+v: folded run differs from simulation\n got %+v\nwant %+v", j.Bench.Name, j.Opt, got, want[i])
+		}
+	}
+	t.Logf("%d pricing variants over %d execution keys fold byte-identically", len(jobs), len(execKeys))
 }
 
 // The acceptance criterion: a plan spanning many pricing-key variants of one
@@ -146,14 +198,14 @@ func TestPrefetchOneSimulationPerExecutionKey(t *testing.T) {
 		t.Fatalf("%d pricing variants ran %d full simulations, want exactly 1", len(opts), sims)
 	}
 	cs := cache.Stats()
-	if cs.RepriceMisses != 1 {
-		t.Fatalf("RepriceMisses = %d, want 1", cs.RepriceMisses)
+	if cs.Misses != 1 {
+		t.Fatalf("Misses = %d, want 1", cs.Misses)
 	}
 	if cs.RepriceFolds != uint64(len(opts)-1) {
 		t.Fatalf("RepriceFolds = %d, want %d", cs.RepriceFolds, len(opts)-1)
 	}
-	if cs.ActivityEntries != 1 {
-		t.Fatalf("ActivityEntries = %d, want 1", cs.ActivityEntries)
+	if cs.Entries != 1 {
+		t.Fatalf("Entries = %d, want 1", cs.Entries)
 	}
 
 	// A second harness against the same cache refetches everything from the

@@ -3,9 +3,12 @@
 // directory start with a warm cache instead of re-simulating.
 //
 // Each entry is one file named by the SHA-256 of its canonical key — the
-// benchmark name, the full comparable cpu.Options, and the RunConfig, plus a
-// schema version — holding the key string and the experiments.Run as JSON.
-// Keying on the verbatim Options value inherits the RunCache's
+// entry kind, the benchmark name, the full comparable cpu.Options, and the
+// RunConfig, plus a schema version — holding the key string and the payload
+// as JSON. The run cache stores one kind, experiments.ActivityRecord
+// (".act.json" files, LoadActivity/SaveActivity); the experiments.Run kind
+// (".json" files, Load/Save) remains only as a thin wrapper over the same
+// get/put. Keying on the verbatim Options value inherits the RunCache's
 // complete-by-construction property: any Options field that changes
 // simulation behavior yields a distinct file.
 //
@@ -90,7 +93,7 @@ type Store struct {
 type Stats struct {
 	Entries int
 	// ActivityEntries is how many of Entries are activity records
-	// (".act.json", see activity.go) rather than run results.
+	// (".act.json") rather than run results.
 	ActivityEntries int
 	Bytes           int64
 	Hits            uint64 // loads answered from disk
@@ -115,63 +118,116 @@ func Open(dir string, cfg Config) (*Store, error) {
 	return s, nil
 }
 
+// kind is one entry kind: its key discriminator, which keeps the key
+// spaces disjoint under one schema version, and its file-name suffix, which
+// lets a directory scan classify entries while the size bound treats them
+// uniformly.
+type kind struct {
+	tag    string
+	suffix string
+}
+
+var (
+	runKind      = kind{tag: "", suffix: ".json"}
+	activityKind = kind{tag: "act|", suffix: ".act.json"}
+)
+
 // keyString renders the canonical key. %#v over the comparable Options and
 // RunConfig values prints every field (exported or not), so the key is
 // complete by construction — the same property runKey/cacheKey rely on.
-func keyString(bench string, opt cpu.Options, rc experiments.RunConfig) string {
-	return fmt.Sprintf("v%d|%s|%#v|%#v", schemaVersion, bench, opt, rc)
+func keyString(k kind, bench string, opt cpu.Options, rc experiments.RunConfig) string {
+	return fmt.Sprintf("v%d|%s%s|%#v|%#v", schemaVersion, k.tag, bench, opt, rc)
 }
 
 // entryPath maps a key to its file: two-level fan-out on the hash so no
 // single directory grows unboundedly.
-func (s *Store) entryPath(key string) string {
+func (s *Store) entryPath(k kind, key string) string {
 	sum := sha256.Sum256([]byte(key))
 	h := hex.EncodeToString(sum[:])
-	return filepath.Join(s.dir, h[:2], h+".json")
+	return filepath.Join(s.dir, h[:2], h+k.suffix)
 }
 
-// entry is the on-disk layout. Key is stored verbatim so a load can verify
-// the file really holds the requested result (hash collisions, schema
-// drift, or a file renamed by hand all surface as a mismatch → miss).
+// entry is the on-disk layout: Run for the run kind, Record for the
+// activity kind. Key is stored verbatim so a load can verify the file
+// really holds the requested entry (hash collisions, schema drift, or a
+// file renamed by hand all surface as a mismatch → miss).
 type entry struct {
-	Key string          `json:"key"`
-	Run experiments.Run `json:"run"`
+	Key    string                      `json:"key"`
+	Run    *experiments.Run            `json:"run,omitempty"`
+	Record *experiments.ActivityRecord `json:"record,omitempty"`
 }
 
-// Load returns the stored Run for the key, if a valid entry exists. Any
-// unreadable or mismatched entry is deleted and reported as a miss.
-// Load and Save implement experiments.RunStore.
+// LoadActivity returns the stored activity record for the execution key, if
+// a valid entry exists. Any unreadable or mismatched entry is deleted and
+// reported as a miss. LoadActivity and SaveActivity implement
+// experiments.ActivityStore.
+func (s *Store) LoadActivity(bench string, opt cpu.Options, rc experiments.RunConfig) (experiments.ActivityRecord, bool) {
+	var rec experiments.ActivityRecord
+	if !s.get(activityKind, bench, opt, rc, &entry{Record: &rec}) {
+		return experiments.ActivityRecord{}, false
+	}
+	return rec, true
+}
+
+// SaveActivity writes one activity record. Failures are swallowed — the
+// store is a cache, and a record that fails to persist is simply recomputed
+// later.
+func (s *Store) SaveActivity(bench string, opt cpu.Options, rc experiments.RunConfig, rec experiments.ActivityRecord) {
+	s.put(activityKind, bench, opt, rc, entry{Record: &rec})
+}
+
+// Load returns the stored Run for the key, with LoadActivity's corruption
+// tolerance. Load and Save have no production caller — the run cache
+// persists activity records only — and can be deleted together with their
+// benchmark wrapper in the next benchmark-definition change.
 func (s *Store) Load(bench string, opt cpu.Options, rc experiments.RunConfig) (experiments.Run, bool) {
-	key := keyString(bench, opt, rc)
-	path := s.entryPath(key)
+	var r experiments.Run
+	if !s.get(runKind, bench, opt, rc, &entry{Run: &r}) {
+		return experiments.Run{}, false
+	}
+	return r, true
+}
+
+// Save writes one Run under the run kind; see Load.
+func (s *Store) Save(bench string, opt cpu.Options, rc experiments.RunConfig, r experiments.Run) {
+	s.put(runKind, bench, opt, rc, entry{Run: &r})
+}
+
+// get decodes the entry of kind k for the key into e, whose payload pointer
+// names the caller's destination. Any unreadable or mismatched file is
+// deleted and reported as a miss.
+func (s *Store) get(k kind, bench string, opt cpu.Options, rc experiments.RunConfig, e *entry) bool {
+	key := keyString(k, bench, opt, rc)
+	path := s.entryPath(k, key)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		s.count(func() { s.misses++ })
-		return experiments.Run{}, false
+		return false
 	}
-	var e entry
-	if jerr := json.Unmarshal(data, &e); jerr != nil || e.Key != key {
+	if jerr := json.Unmarshal(data, e); jerr != nil || e.Key != key {
 		// Truncated write, disk corruption, or a foreign file under our
-		// name: drop it so the next Save rewrites a clean entry.
+		// name: drop it so the next put rewrites a clean entry.
 		os.Remove(path)
 		s.count(func() {
 			s.corrupt++
 			s.misses++
 			s.entries--
+			if k == activityKind {
+				s.actEntries--
+			}
 			s.bytes -= int64(len(data))
 		})
-		return experiments.Run{}, false
+		return false
 	}
 	s.count(func() { s.hits++ })
-	return e.Run, true
+	return true
 }
 
-// Save writes one completed result. Failures are swallowed — the store is a
-// cache, and a result that fails to persist is simply recomputed later.
-func (s *Store) Save(bench string, opt cpu.Options, rc experiments.RunConfig, r experiments.Run) {
-	key := keyString(bench, opt, rc)
-	path := s.entryPath(key)
-	data, err := json.Marshal(entry{Key: key, Run: r})
+// put writes one entry of kind k with atomic publish.
+func (s *Store) put(k kind, bench string, opt cpu.Options, rc experiments.RunConfig, e entry) {
+	e.Key = keyString(k, bench, opt, rc)
+	path := s.entryPath(k, e.Key)
+	data, err := json.Marshal(e)
 	if err != nil {
 		return
 	}
@@ -193,6 +249,9 @@ func (s *Store) Save(bench string, opt cpu.Options, rc experiments.RunConfig, r 
 		s.bytes += int64(len(data)) - prev
 	} else {
 		s.entries++
+		if k == activityKind {
+			s.actEntries++
+		}
 		s.bytes += int64(len(data))
 	}
 	gc = s.maxBytes > 0 && s.bytes > s.maxBytes
@@ -269,7 +328,7 @@ func (s *Store) list() []scanned {
 		if err != nil {
 			return nil
 		}
-		out = append(out, scanned{path: path, size: fi.Size(), mtime: fi.ModTime().UnixNano(), act: strings.HasSuffix(path, ".act.json")})
+		out = append(out, scanned{path: path, size: fi.Size(), mtime: fi.ModTime().UnixNano(), act: strings.HasSuffix(path, activityKind.suffix)})
 		return nil
 	})
 	return out

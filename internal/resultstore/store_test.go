@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"bpredpower/internal/bpred"
 	"bpredpower/internal/cpu"
 	"bpredpower/internal/experiments"
+	"bpredpower/internal/power"
 )
 
 // fakeRun builds a distinguishable Run for key i.
@@ -35,39 +37,119 @@ func optFor(i int) cpu.Options {
 	return cpu.Options{Predictor: bpred.Hybrid1, BankedPredictor: i%2 == 1}
 }
 
+func fakeActivity(i int) experiments.ActivityRecord {
+	return experiments.ActivityRecord{
+		Run: fakeRun(i),
+		Activity: power.Activity{
+			Cycles: uint64(100000 + i),
+			Units: []power.UnitActivity{
+				{Name: "bpred.pht", ActiveCycles: 9000, Reads: uint64(12000 + i), Writes: 800, Partials: 3},
+				{Name: "il1.data", ActiveCycles: 70000, Reads: 65000, Writes: 1200},
+			},
+		},
+	}
+}
+
+// kindCase drives one entry kind through the store's public API, so the
+// round-trip and corruption contracts are checked for both kinds by one
+// table.
+type kindCase struct {
+	name string
+	kind kind
+	save func(s *Store, bench string, opt cpu.Options, rc experiments.RunConfig, i int)
+	load func(s *Store, bench string, opt cpu.Options, rc experiments.RunConfig) (any, bool)
+	want func(i int) any
+	act  int // ActivityEntries per entry of this kind
+}
+
+func kindCases() []kindCase {
+	return []kindCase{
+		{
+			name: "run",
+			kind: runKind,
+			save: func(s *Store, bench string, opt cpu.Options, rc experiments.RunConfig, i int) {
+				s.Save(bench, opt, rc, fakeRun(i))
+			},
+			load: func(s *Store, bench string, opt cpu.Options, rc experiments.RunConfig) (any, bool) {
+				return s.Load(bench, opt, rc)
+			},
+			want: func(i int) any { return fakeRun(i) },
+		},
+		{
+			name: "activity",
+			kind: activityKind,
+			save: func(s *Store, bench string, opt cpu.Options, rc experiments.RunConfig, i int) {
+				s.SaveActivity(bench, opt, rc, fakeActivity(i))
+			},
+			load: func(s *Store, bench string, opt cpu.Options, rc experiments.RunConfig) (any, bool) {
+				return s.LoadActivity(bench, opt, rc)
+			},
+			want: func(i int) any { return fakeActivity(i) },
+			act:  1,
+		},
+	}
+}
+
 func TestRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc := experiments.Quick
-	want := fakeRun(0)
+	cases := kindCases()
+	for ci, c := range cases {
+		other := cases[1-ci]
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rc := experiments.Quick
 
-	if _, ok := s.Load("164.gzip", optFor(0), rc); ok {
-		t.Fatal("load on empty store reported a hit")
-	}
-	s.Save("164.gzip", optFor(0), rc, want)
-	got, ok := s.Load("164.gzip", optFor(0), rc)
-	if !ok {
-		t.Fatal("load after save missed")
-	}
-	if got != want {
-		t.Fatalf("round-trip mismatch:\n got %+v\nwant %+v", got, want)
-	}
+			if _, ok := c.load(s, "164.gzip", optFor(0), rc); ok {
+				t.Fatal("load on empty store reported a hit")
+			}
+			c.save(s, "164.gzip", optFor(0), rc, 0)
+			got, ok := c.load(s, "164.gzip", optFor(0), rc)
+			if !ok {
+				t.Fatal("load after save missed")
+			}
+			if !reflect.DeepEqual(got, c.want(0)) {
+				t.Fatalf("round-trip mismatch:\n got %+v\nwant %+v", got, c.want(0))
+			}
 
-	// A different Options value must not alias.
-	if _, ok := s.Load("164.gzip", optFor(1), rc); ok {
-		t.Fatal("distinct Options aliased to the same entry")
-	}
-	// Nor a different RunConfig.
-	if _, ok := s.Load("164.gzip", optFor(0), experiments.Default); ok {
-		t.Fatal("distinct RunConfig aliased to the same entry")
-	}
+			// A different Options value must not alias.
+			if _, ok := c.load(s, "164.gzip", optFor(1), rc); ok {
+				t.Fatal("distinct Options aliased to the same entry")
+			}
+			// Nor a different RunConfig.
+			if _, ok := c.load(s, "164.gzip", optFor(0), experiments.Default); ok {
+				t.Fatal("distinct RunConfig aliased to the same entry")
+			}
 
-	st := s.Stats()
-	if st.Hits != 1 || st.Misses != 3 || st.Puts != 1 || st.Entries != 1 {
-		t.Fatalf("stats = %+v, want 1 hit / 3 misses / 1 put / 1 entry", st)
+			st := s.Stats()
+			if st.Hits != 1 || st.Misses != 3 || st.Puts != 1 || st.Entries != 1 || st.ActivityEntries != c.act {
+				t.Fatalf("stats = %+v, want 1 hit / 3 misses / 1 put / 1 entry, %d activity", st, c.act)
+			}
+
+			// The other kind must not alias this one: the same (bench, opt,
+			// rc) holds both entry kinds independently.
+			if _, ok := other.load(s, "164.gzip", optFor(0), rc); ok {
+				t.Fatalf("%s entry answered a %s load", c.name, other.name)
+			}
+			other.save(s, "164.gzip", optFor(0), rc, 1)
+			if got, ok := c.load(s, "164.gzip", optFor(0), rc); !ok || !reflect.DeepEqual(got, c.want(0)) {
+				t.Fatalf("%s save overwrote the %s entry: %+v ok=%v", other.name, c.name, got, ok)
+			}
+			if st := s.Stats(); st.Entries != 2 || st.ActivityEntries != 1 {
+				t.Fatalf("stats = %+v, want 2 entries of which 1 activity", st)
+			}
+
+			// A fresh handle rescans both kinds.
+			s2, err := Open(dir, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := s2.Stats(); st.Entries != 2 || st.ActivityEntries != 1 {
+				t.Fatalf("rescan stats = %+v", st)
+			}
+		})
 	}
 }
 
@@ -100,50 +182,64 @@ func TestTwoHandles(t *testing.T) {
 	}
 }
 
-// TestCorruptionTolerated covers the crash-safety contract: truncated or
-// garbled entries are misses, get deleted, and the next Save rewrites them.
+// TestCorruptionTolerated covers the crash-safety contract for both entry
+// kinds: truncated or garbled entries are misses, get deleted, and the next
+// save rewrites them.
 func TestCorruptionTolerated(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc := experiments.Quick
-	s.Save("164.gzip", optFor(0), rc, fakeRun(3))
-	path := s.entryPath(keyString("164.gzip", optFor(0), rc))
-
-	for name, mutate := range map[string]func() error{
-		"truncated": func() error {
-			data, err := os.ReadFile(path)
+	for _, c := range kindCases() {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, Config{})
 			if err != nil {
-				return err
+				t.Fatal(err)
 			}
-			return os.WriteFile(path, data[:len(data)/2], 0o644)
-		},
-		"garbled": func() error {
-			return os.WriteFile(path, []byte("{\"key\":\"wrong\",\"run\":{}}\n"), 0o644)
-		},
-		"empty": func() error {
-			return os.WriteFile(path, nil, 0o644)
-		},
-	} {
-		if err := mutate(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if _, ok := s.Load("164.gzip", optFor(0), rc); ok {
-			t.Fatalf("%s entry loaded as a hit", name)
-		}
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Fatalf("%s entry not deleted on load", name)
-		}
-		// The next Save must bring the entry back, readable.
-		s.Save("164.gzip", optFor(0), rc, fakeRun(3))
-		if got, ok := s.Load("164.gzip", optFor(0), rc); !ok || got != fakeRun(3) {
-			t.Fatalf("rewrite after %s corruption failed: %+v ok=%v", name, got, ok)
-		}
-	}
-	if st := s.Stats(); st.Corrupt != 3 {
-		t.Fatalf("corrupt counter = %d, want 3", st.Corrupt)
+			rc := experiments.Quick
+			c.save(s, "164.gzip", optFor(0), rc, 3)
+			path := s.entryPath(c.kind, keyString(c.kind, "164.gzip", optFor(0), rc))
+			if !strings.HasSuffix(path, c.kind.suffix) {
+				t.Fatalf("entry path %s lacks the %s suffix", path, c.kind.suffix)
+			}
+
+			for _, m := range []struct {
+				name   string
+				mutate func() error
+			}{
+				{"truncated", func() error {
+					data, err := os.ReadFile(path)
+					if err != nil {
+						return err
+					}
+					return os.WriteFile(path, data[:len(data)/2], 0o644)
+				}},
+				{"garbled", func() error {
+					return os.WriteFile(path, []byte("{\"key\":\"wrong\",\"run\":{},\"record\":{}}\n"), 0o644)
+				}},
+				{"empty", func() error {
+					return os.WriteFile(path, nil, 0o644)
+				}},
+			} {
+				if err := m.mutate(); err != nil {
+					t.Fatalf("%s: %v", m.name, err)
+				}
+				if _, ok := c.load(s, "164.gzip", optFor(0), rc); ok {
+					t.Fatalf("%s entry loaded as a hit", m.name)
+				}
+				if _, err := os.Stat(path); !os.IsNotExist(err) {
+					t.Fatalf("%s entry not deleted on load", m.name)
+				}
+				if st := s.Stats(); st.Entries != 0 || st.ActivityEntries != 0 {
+					t.Fatalf("stats after %s corruption = %+v, want no entries", m.name, st)
+				}
+				// The next save must bring the entry back, readable.
+				c.save(s, "164.gzip", optFor(0), rc, 3)
+				if got, ok := c.load(s, "164.gzip", optFor(0), rc); !ok || !reflect.DeepEqual(got, c.want(3)) {
+					t.Fatalf("rewrite after %s corruption failed: %+v ok=%v", m.name, got, ok)
+				}
+			}
+			if st := s.Stats(); st.Corrupt != 3 {
+				t.Fatalf("corrupt counter = %d, want 3", st.Corrupt)
+			}
+		})
 	}
 }
 
@@ -263,17 +359,30 @@ func TestGCUnderLoad(t *testing.T) {
 
 // TestKeyStringComplete guards the complete-by-construction property: the
 // rendered key must mention every exported Options field name, so a new
-// field can't silently alias entries.
+// field can't silently alias entries, and the two kinds' keys must differ.
 func TestKeyStringComplete(t *testing.T) {
-	key := keyString("164.gzip", cpu.Options{Predictor: bpred.Hybrid1}, experiments.Quick)
-	for _, field := range []string{"Predictor", "BankedPredictor", "WarmupInsts", "MeasureInsts"} {
-		if !strings.Contains(key, field) {
-			t.Errorf("keyString omits %s: %q", field, key)
+	keys := map[string]bool{}
+	for _, c := range kindCases() {
+		key := keyString(c.kind, "164.gzip", cpu.Options{Predictor: bpred.Hybrid1}, experiments.Quick)
+		for _, field := range []string{"Predictor", "BankedPredictor", "WarmupInsts", "MeasureInsts"} {
+			if !strings.Contains(key, field) {
+				t.Errorf("%s keyString omits %s: %q", c.name, field, key)
+			}
 		}
+		if !strings.HasPrefix(key, fmt.Sprintf("v%d|", schemaVersion)) {
+			t.Errorf("%s keyString missing schema version prefix: %q", c.name, key)
+		}
+		keys[key] = true
 	}
-	if !strings.HasPrefix(key, fmt.Sprintf("v%d|", schemaVersion)) {
-		t.Errorf("keyString missing schema version prefix: %q", key)
+	if len(keys) != len(kindCases()) {
+		t.Errorf("entry kinds share a key: %v", keys)
 	}
+}
+
+// The store implements the cache's ActivityStore contract, so replicas
+// sharing a directory reprice instead of re-simulating.
+func TestStoreImplementsActivityStore(t *testing.T) {
+	var _ experiments.ActivityStore = (*Store)(nil)
 }
 
 func TestOpenOnFile(t *testing.T) {

@@ -131,13 +131,13 @@ func (m *Metrics) WriteTo(w io.Writer, cs experiments.CacheStats, ss *resultstor
 	fmt.Fprintln(w, "# TYPE bpserved_inflight_requests gauge")
 	fmt.Fprintf(w, "bpserved_inflight_requests %d\n", m.inflight.Load())
 
-	fmt.Fprintln(w, "# HELP bpserved_cache_hits_total Run-cache lookups answered from memory.")
+	fmt.Fprintln(w, "# HELP bpserved_cache_hits_total Activity-record lookups answered from memory.")
 	fmt.Fprintln(w, "# TYPE bpserved_cache_hits_total counter")
 	fmt.Fprintf(w, "bpserved_cache_hits_total %d\n", cs.Hits)
-	fmt.Fprintln(w, "# HELP bpserved_cache_misses_total Run-cache lookups that started a simulation.")
+	fmt.Fprintln(w, "# HELP bpserved_cache_misses_total Activity-record lookups that went to the store or a base simulation.")
 	fmt.Fprintln(w, "# TYPE bpserved_cache_misses_total counter")
 	fmt.Fprintf(w, "bpserved_cache_misses_total %d\n", cs.Misses)
-	fmt.Fprintln(w, "# HELP bpserved_cache_evictions_total Completed results dropped by the LRU bound.")
+	fmt.Fprintln(w, "# HELP bpserved_cache_evictions_total Activity records dropped by the LRU bound.")
 	fmt.Fprintln(w, "# TYPE bpserved_cache_evictions_total counter")
 	fmt.Fprintf(w, "bpserved_cache_evictions_total %d\n", cs.Evictions)
 	fmt.Fprintln(w, "# HELP bpserved_cache_hit_ratio Hits over lookups since start.")
@@ -148,10 +148,10 @@ func (m *Metrics) WriteTo(w io.Writer, cs experiments.CacheStats, ss *resultstor
 		ratio = float64(cs.Hits) / float64(lookups)
 	}
 	fmt.Fprintf(w, "bpserved_cache_hit_ratio %g\n", ratio)
-	fmt.Fprintln(w, "# HELP bpserved_cache_entries Completed results resident in the run cache.")
+	fmt.Fprintln(w, "# HELP bpserved_cache_entries Activity records resident in the run cache.")
 	fmt.Fprintln(w, "# TYPE bpserved_cache_entries gauge")
 	fmt.Fprintf(w, "bpserved_cache_entries %d\n", cs.Entries)
-	fmt.Fprintln(w, "# HELP bpserved_cache_bytes Approximate bytes held by cached results.")
+	fmt.Fprintln(w, "# HELP bpserved_cache_bytes Approximate bytes held by cached activity records.")
 	fmt.Fprintln(w, "# TYPE bpserved_cache_bytes gauge")
 	fmt.Fprintf(w, "bpserved_cache_bytes %d\n", cs.Bytes)
 	fmt.Fprintln(w, "# HELP bpserved_cache_programs Memoized program images.")
@@ -161,18 +161,9 @@ func (m *Metrics) WriteTo(w io.Writer, cs experiments.CacheStats, ss *resultstor
 	fmt.Fprintln(w, "# TYPE bpserved_cache_inflight gauge")
 	fmt.Fprintf(w, "bpserved_cache_inflight %d\n", cs.Inflight)
 
-	fmt.Fprintln(w, "# HELP bpserved_reprice_hits_total Activity-vector lookups answered from memory.")
-	fmt.Fprintln(w, "# TYPE bpserved_reprice_hits_total counter")
-	fmt.Fprintf(w, "bpserved_reprice_hits_total %d\n", cs.RepriceHits)
-	fmt.Fprintln(w, "# HELP bpserved_reprice_misses_total Activity-vector lookups that went to the store or a base simulation.")
-	fmt.Fprintln(w, "# TYPE bpserved_reprice_misses_total counter")
-	fmt.Fprintf(w, "bpserved_reprice_misses_total %d\n", cs.RepriceMisses)
 	fmt.Fprintln(w, "# HELP bpserved_reprice_folds_total Runs produced by repricing a cached activity vector instead of simulating.")
 	fmt.Fprintln(w, "# TYPE bpserved_reprice_folds_total counter")
 	fmt.Fprintf(w, "bpserved_reprice_folds_total %d\n", cs.RepriceFolds)
-	fmt.Fprintln(w, "# HELP bpserved_cache_activity_entries Activity vectors resident in the run cache.")
-	fmt.Fprintln(w, "# TYPE bpserved_cache_activity_entries gauge")
-	fmt.Fprintf(w, "bpserved_cache_activity_entries %d\n", cs.ActivityEntries)
 
 	fmt.Fprintln(w, "# HELP bpserved_store_hits_total Memory misses answered by the persistent result store.")
 	fmt.Fprintln(w, "# TYPE bpserved_store_hits_total counter")

@@ -637,16 +637,16 @@ func TestSweepClockGatingAxisReprices(t *testing.T) {
 	metrics := string(mdata)
 	for _, want := range []string{
 		"bpserved_simulations_total 1",
-		"bpserved_reprice_misses_total 1",
+		"bpserved_cache_misses_total 1",
 		"bpserved_reprice_folds_total 7",
-		"bpserved_cache_activity_entries 1",
+		"bpserved_cache_entries 1",
 	} {
 		if !strings.Contains(metrics, want+"\n") {
 			t.Errorf("/metrics missing %q after gating-axis sweep", want)
 		}
 	}
-	if cs := srv.Cache.Stats(); cs.RepriceFolds != 7 || cs.RepriceMisses != 1 {
-		t.Errorf("cache stats = %+v, want 1 reprice miss and 7 folds", cs)
+	if cs := srv.Cache.Stats(); cs.RepriceFolds != 7 || cs.Misses != 1 {
+		t.Errorf("cache stats = %+v, want 1 miss and 7 folds", cs)
 	}
 }
 

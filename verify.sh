@@ -113,17 +113,6 @@ go run ./cmd/bpsweep -pred TAGE_64k | grep -q "tage4"
 go run ./cmd/bpsweep -pred Perceptron_64k | grep -q "weights"
 echo "extension smoke: modern-predictor sweep and per-table reports run"
 
-# Reprice byte-identity gate: the gating-style figure spans four pricing-key
-# variants per execution key, so it exercises the repricer end to end. With
-# -reprice=false every variant is fully simulated; the two outputs must be
-# byte-identical (DESIGN.md §9h), and so must the rest of the figure set.
-go run ./cmd/bpexperiments -quick -warmup 4000 -measure 8000 -figure 23 > "$tmp/gating.txt"
-go run ./cmd/bpexperiments -quick -warmup 4000 -measure 8000 -figure 23 -reprice=false > "$tmp/gating-full.txt"
-diff "$tmp/gating.txt" "$tmp/gating-full.txt"
-go run ./cmd/bpexperiments -quick -warmup 4000 -measure 8000 -reprice=false > "$tmp/norepric.txt"
-diff "$tmp/serial.txt" "$tmp/norepric.txt"
-echo "reprice smoke: output identical with repricing on and off"
-
 # Reprice CLI smoke: the -reprice report must fold 7 of its 8 variants from
 # a single simulation.
 go run ./cmd/bpsweep -pred Hybrid_1 -reprice | grep -q '^simulations=1 folds=7$'
