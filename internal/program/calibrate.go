@@ -2,7 +2,6 @@ package program
 
 import (
 	"fmt"
-	"os"
 	"sort"
 
 	"bpredpower/internal/isa"
@@ -54,40 +53,107 @@ func (t *MixTargets) rounds() int {
 // measured and the remaining targets are renormalized around it — and
 // function-entry sites never become loops.
 func (g *generator) calibrate(t *MixTargets) {
-	debug := os.Getenv("BPCAL_DEBUG") != ""
+	// reassign rewrites only Sites, so the block structure holds for every
+	// round.
+	nextCtl := controlIndex(g.prog.Code)
+	counts := make([]uint64, len(g.prog.Sites))
+	occ := make([]uint64, len(g.prog.Sites))
 	for round := 0; round < t.rounds(); round++ {
-		counts := g.measureSiteCounts(t.steps())
-		if debug {
-			var mass [numBehaviorKinds]float64
-			var total float64
-			for i, c := range counts {
-				mass[g.prog.Sites[i].Kind] += float64(c)
-				total += float64(c)
-			}
-			fmt.Fprintf(os.Stderr, "cal %s round %d: B=%.2f L=%.2f P=%.2f C=%.2f R=%.2f\n",
-				g.prog.Name, round,
-				mass[BehaviorBiased]/total, mass[BehaviorLoop]/total,
-				mass[BehaviorLocalPattern]/total, mass[BehaviorGlobalCorrelated]/total,
-				mass[BehaviorRandom]/total)
-		}
+		siteCounts(g.prog, nextCtl, t.steps(), counts, occ)
 		if !g.reassign(counts, t) {
 			break
 		}
 	}
 }
 
-// measureSiteCounts walks the program and returns per-site dynamic branch
-// execution counts.
-func (g *generator) measureSiteCounts(steps int) []uint64 {
-	w := NewWalker(g.prog)
-	counts := make([]uint64, len(g.prog.Sites))
-	for i := 0; i < steps; i++ {
-		st := w.Step()
-		if st.SI.Class == isa.ClassBranch {
-			counts[st.SI.Site]++
+// controlIndex returns, for each code index i, the index of the first
+// control instruction at or after i, or len(code) when none follows.
+func controlIndex(code []isa.StaticInst) []int32 {
+	next := make([]int32, len(code))
+	c := int32(len(code))
+	for i := len(code) - 1; i >= 0; i-- {
+		if code[i].Class.IsControl() {
+			c = int32(i)
+		}
+		next[i] = c
+	}
+	return next
+}
+
+// siteCounts walks p architecturally for steps instructions from its entry
+// and stores per-site conditional-branch execution counts in counts; occ is
+// scratch. Both must have len(p.Sites) entries, and nextCtl must be
+// controlIndex(p.Code). The counts equal those of steps Walker.Step calls on
+// a fresh Walker, but the walk moves one basic block at a time: a branch
+// outcome is a pure function of (seed, site, occurrence, global history),
+// so the instructions between control transfers cannot change any count and
+// are charged against the budget without being visited. A block whose
+// control instruction lies past the budget is not entered, since the steps
+// left would execute no branch.
+func siteCounts(p *Program, nextCtl []int32, steps int, counts, occ []uint64) {
+	clear(counts)
+	clear(occ)
+	n := uint64(len(p.Code))
+	entry := (p.Entry - p.Base) / isa.InstBytes
+	entryOK := p.Contains(p.Entry)
+	var ghist uint64
+	var stack []uint64
+	pc := p.Entry
+	left := uint64(steps)
+	for left > 0 {
+		i := (pc - p.Base) / isa.InstBytes
+		if !p.Contains(pc) {
+			// Walker.Step restarts at the entry within the same step.
+			if !entryOK {
+				panic(fmt.Sprintf("program %s: entry %#x not in image", p.Name, p.Entry))
+			}
+			i = entry
+		}
+		c := uint64(nextCtl[i])
+		if c == n {
+			// No control transfer before the end of the image: the walk
+			// runs off it and restarts.
+			if n-i >= left {
+				return
+			}
+			left -= n - i
+			pc = p.Entry
+			continue
+		}
+		if c-i+1 > left {
+			return
+		}
+		left -= c - i + 1
+		si := &p.Code[c]
+		switch si.Class {
+		case isa.ClassBranch:
+			o := occ[si.Site]
+			taken := p.Sites[si.Site].Outcome(p.Seed, o, ghist)
+			occ[si.Site] = o + 1
+			counts[si.Site]++
+			ghist = ghist<<1 | b2u(taken)
+			pc = si.NextPC()
+			if taken {
+				pc = si.Target
+			}
+		case isa.ClassJump:
+			pc = si.Target
+		case isa.ClassCall:
+			pc = si.Target
+			stack = append(stack, si.NextPC())
+			// The same bound as Walker.Step's architectural stack.
+			if len(stack) > 1024 {
+				stack = stack[len(stack)-1024:]
+			}
+		case isa.ClassReturn:
+			if k := len(stack); k > 0 {
+				pc = stack[k-1]
+				stack = stack[:k-1]
+			} else {
+				pc = p.Entry
+			}
 		}
 	}
-	return counts
 }
 
 // reassign redistributes site behaviours to match the targets, returning

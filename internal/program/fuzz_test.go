@@ -67,3 +67,42 @@ func FuzzProgramDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSiteCounts compares the block-stepped calibration walk with the
+// per-instruction Walker. Shape 0 generates a small calibrated image and
+// checks every calibration round at a budget of steps; the other shapes
+// build programs that leave the generator's discipline — recursion deeper
+// than the 1024-entry return stack, an unmatched return, a branch target
+// outside the image, an image that ends without a control transfer — and
+// check the counts at steps.
+func FuzzSiteCounts(f *testing.F) {
+	f.Add(uint8(0), uint64(1), uint16(60), uint8(3), uint8(6), uint32(5000))
+	f.Add(uint8(0), uint64(99), uint16(300), uint8(9), uint8(2), uint32(1))
+	f.Add(uint8(1), uint64(3), uint16(1100), uint8(0), uint8(0), uint32(9000))
+	f.Add(uint8(2), uint64(4), uint16(0), uint8(0), uint8(0), uint32(777))
+	f.Add(uint8(3), uint64(5), uint16(1), uint8(0), uint8(0), uint32(4096))
+	f.Add(uint8(4), uint64(6), uint16(0), uint8(0), uint8(0), uint32(31))
+	f.Fuzz(func(t *testing.T, shape uint8, seed uint64, numBlocks uint16, numFuncs, meanBlockLen uint8, steps uint32) {
+		budget := int(steps % 20001)
+		site := fuzzSite(seed)
+		switch shape % 5 {
+		case 0:
+			sp := calSpec(seed, &MixTargets{
+				Biased: 0.45, Loop: 0.25, Correlated: 0.08, Pattern: 0.05, Random: 0.17,
+				PTaken: 0.995, Trip: 12, PatternMaxLen: 6, Steps: budget + 1, Rounds: 3,
+			})
+			sp.NumBlocks = 2 + int(numBlocks%300)
+			sp.NumFuncs = 1 + int(numFuncs%12)
+			sp.MeanBlockLen = 2 + float64(meanBlockLen%14)
+			checkCalibrationRounds(t, sp)
+		case 1:
+			checkSiteCounts(t, recursiveProgram(seed, 1+uint32(numBlocks)%2048), budget)
+		case 2:
+			checkSiteCounts(t, unmatchedReturnProgram(seed, site), budget)
+		case 3:
+			checkSiteCounts(t, escapingProgram(seed, site, escapeTargets[int(numBlocks)%len(escapeTargets)]), budget)
+		case 4:
+			checkSiteCounts(t, fallOffProgram(seed, site), budget)
+		}
+	})
+}

@@ -83,6 +83,21 @@ const DefaultBase = 0x0001_2000_0000
 
 // Generate builds the static program image described by sp.
 func Generate(sp Spec) (*Program, error) {
+	g, err := newGenerator(sp)
+	if err != nil {
+		return nil, err
+	}
+	if g.sp.Mix != nil {
+		g.calibrate(g.sp.Mix)
+	}
+	if err := g.prog.Validate(); err != nil {
+		return nil, fmt.Errorf("program: generated image invalid: %w", err)
+	}
+	return g.prog, nil
+}
+
+// newGenerator builds the uncalibrated image described by sp.
+func newGenerator(sp Spec) (*generator, error) {
 	if sp.NumBlocks < 2 {
 		return nil, fmt.Errorf("program: spec %q needs at least 2 blocks", sp.Name)
 	}
@@ -91,6 +106,11 @@ func Generate(sp Spec) (*Program, error) {
 	}
 	if sp.NumFuncs > sp.NumBlocks/2 {
 		sp.NumFuncs = sp.NumBlocks / 2
+	}
+	// Past main's share, every function but the last takes at least two
+	// blocks; more functions than fit would leave the last one empty.
+	if fit := 2 + (sp.NumBlocks-1-mainBlocks(sp.NumBlocks))/2; sp.NumFuncs > fit {
+		sp.NumFuncs = fit
 	}
 	if sp.MeanBlockLen < 2 {
 		sp.MeanBlockLen = 2
@@ -116,13 +136,7 @@ func Generate(sp Spec) (*Program, error) {
 	g.layoutBlocks()
 	g.fillBodies()
 	g.placeTerminators()
-	if sp.Mix != nil {
-		g.calibrate(sp.Mix)
-	}
-	if err := g.prog.Validate(); err != nil {
-		return nil, fmt.Errorf("program: generated image invalid: %w", err)
-	}
-	return g.prog, nil
+	return g, nil
 }
 
 // MustGenerate is Generate but panics on error; for use with specs known
@@ -210,10 +224,7 @@ func (g *generator) partitionFunctions() {
 	nb, nf := g.sp.NumBlocks, g.sp.NumFuncs
 	g.fnLo = make([]int, nf)
 	g.fnHi = make([]int, nf)
-	mainShare := nb / 3
-	if mainShare < 2 {
-		mainShare = 2
-	}
+	mainShare := mainBlocks(nb)
 	rest := nb - mainShare
 	per := rest / max(1, nf-1)
 	if per < 2 {
@@ -244,6 +255,9 @@ func (g *generator) partitionFunctions() {
 		g.fnHi[nf-1] = nb
 	}
 }
+
+// mainBlocks is the number of blocks main takes out of nb.
+func mainBlocks(nb int) int { return max(2, nb/3) }
 
 // layoutBlocks draws block lengths and assigns instruction index ranges.
 func (g *generator) layoutBlocks() {

@@ -331,3 +331,16 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		p.Sites[0].ID = 0
 	}
 }
+
+// TestGenerateCrowdedFunctions asks for more functions than the blocks can
+// hold: the generator must shrink the function count, not leave a function
+// without blocks.
+func TestGenerateCrowdedFunctions(t *testing.T) {
+	for nb := 2; nb <= 40; nb++ {
+		sp := testSpec(uint64(nb))
+		sp.NumBlocks, sp.NumFuncs = nb, nb
+		if _, err := Generate(sp); err != nil {
+			t.Errorf("%d blocks: %v", nb, err)
+		}
+	}
+}

@@ -68,9 +68,6 @@ func TestSuiteString(t *testing.T) {
 }
 
 func TestAllProgramsGenerate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("program generation with calibration is slow")
-	}
 	for _, b := range All() {
 		p := b.Program()
 		if err := p.Validate(); err != nil {
@@ -102,14 +99,19 @@ func TestProgramsDeterministic(t *testing.T) {
 }
 
 // TestDynamicMixNearTargets checks the closed-loop calibration delivers the
-// solver's dynamic behaviour mixture within coarse tolerances for a sample
-// of benchmarks.
+// solver's dynamic behaviour mixture within coarse tolerances on every
+// benchmark. A few benchmarks miss a share (EXPERIMENTS.md, "Known
+// deviations"); for those the test asserts the miss is still there, so a
+// calibration change that mends or moves it has to update this table.
 func TestDynamicMixNearTargets(t *testing.T) {
-	if testing.Short() {
-		t.Skip("calibration walk is slow")
+	// knownMisses lists the shares each benchmark is known to miss.
+	knownMisses := map[string]struct{ loop, biased bool }{
+		"171.swim":    {loop: true, biased: true},
+		"173.applu":   {loop: true},
+		"187.facerec": {loop: true, biased: true},
+		"189.lucas":   {loop: true},
 	}
-	for _, name := range []string{"164.gzip", "254.gap", "177.mesa"} {
-		b, _ := ByName(name)
+	for _, b := range All() {
 		p := b.Program()
 		w := program.NewWalker(p)
 		var conds uint64
@@ -122,13 +124,16 @@ func TestDynamicMixNearTargets(t *testing.T) {
 			}
 		}
 		m := b.Spec.Mix
+		miss := knownMisses[b.Name]
 		loop := mass[program.BehaviorLoop] / float64(conds)
-		if loop < m.Loop-0.12 || loop > m.Loop+0.15 {
-			t.Errorf("%s: loop share %.3f, target %.3f", name, loop, m.Loop)
+		loopMissed := loop < m.Loop-0.12 || loop > m.Loop+0.15
+		if loopMissed != miss.loop {
+			t.Errorf("%s: loop share %.3f, target %.3f, known miss %v", b.Name, loop, m.Loop, miss.loop)
 		}
 		biased := mass[program.BehaviorBiased] / float64(conds)
-		if biased < m.Biased-0.20 || biased > m.Biased+0.25 {
-			t.Errorf("%s: biased share %.3f, target %.3f", name, biased, m.Biased)
+		biasedMissed := biased < m.Biased-0.20 || biased > m.Biased+0.25
+		if biasedMissed != miss.biased {
+			t.Errorf("%s: biased share %.3f, target %.3f, known miss %v", b.Name, biased, m.Biased, miss.biased)
 		}
 	}
 }

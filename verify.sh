@@ -39,6 +39,9 @@ done
 # budget is capped so a slow minimization cannot eat the whole fuzz window.
 go test -run '^$' -fuzz '^FuzzTraceDecode$' -fuzztime 5s -fuzzminimizetime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzProgramDecode$' -fuzztime 5s -fuzzminimizetime 5s ./internal/program
+# Calibration-walk equivalence: the block-stepped site counts must match the
+# per-instruction Walker on generated and hand-built programs.
+go test -run '^$' -fuzz '^FuzzSiteCounts$' -fuzztime 5s -fuzzminimizetime 5s ./internal/program
 (cd internal/service && go test -run '^$' -fuzz '^FuzzSweepRequestDecode$' -fuzztime 5s -fuzzminimizetime 5s .)
 # Idle-skip equivalence: Run's idle-cycle skipping must match cycle-by-cycle
 # stepping bit for bit at arbitrary option-grid points and window lengths.
